@@ -126,3 +126,18 @@ class ClockError(SimulationError):
 
 class ConfigurationError(ReproError):
     """An experiment or model was configured inconsistently."""
+
+
+class TraceFormatError(ReproError, ValueError):
+    """A recorded trace file could not be parsed.
+
+    Carries the ``file:line`` location of the offending record; also a
+    :class:`ValueError`, which the trace reader raised before this type
+    existed.
+    """
+
+    def __init__(self, path: str, line: int, reason: str):
+        super().__init__(f"{path}:{line}: {reason}")
+        self.path = path
+        self.line = line
+        self.reason = reason

@@ -48,10 +48,6 @@ class ExperimentSettings:
     allocated_db_bytes: int = 8 * MB
     log_bytes: int = 2 * MB
     nominal_db_bytes: int = PAPER_DB_BYTES
-    #: Worker processes for the per-shard parallel simulation executor
-    #: (:mod:`repro.fastpath.shardpar`); 1 = the sequential reference.
-    #: Outputs are byte-identical at any value.
-    shard_jobs: int = 1
 
     def engine_config(self, nominal: Optional[int] = None) -> EngineConfig:
         return EngineConfig(

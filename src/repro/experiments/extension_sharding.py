@@ -31,20 +31,22 @@ from typing import Dict, List, Optional, Union
 
 from repro.cluster.cluster import TakeoverReport
 from repro.experiments.common import ExperimentContext
-from repro.fastpath import shardpar
-from repro.fastpath.shardpar import TimelinePlan
 from repro.obs import Observer, TraceEvent, analyze_timeline, write_jsonl
 from repro.obs.report import TimelineReport
 from repro.obs.series import (
     DipSummary,
     SeriesFrame,
+    TimeSeriesSampler,
     derive_dip,
+    router_probes,
     series_interval_us,
+    sim_probes,
     windowed_goodput,
 )
 from repro.perf.report import ReportTable
 from repro.perf.sharding import ShardedThroughputReport, sharded_aggregate
-from repro.shard import ShardedWorkload
+from repro.shard import Router, ShardedCluster, ShardedWorkload
+from repro.vista.api import EngineConfig
 
 MB = 1024 * 1024
 
@@ -410,66 +412,6 @@ class ShardingResult:
         assert len(resolves) == len(fires), "every alert must resolve"
 
 
-def failover_plan(
-    num_shards: int = 4,
-    slots: int = SLOTS,
-    slot_us: float = SLOT_US,
-    offered_per_shard: int = OFFERED_PER_SHARD_PER_SLOT,
-    crash_at_us: float = CRASH_AT_US,
-    crashed_shard: int = 2,
-    db_bytes_per_shard: int = 4 * MB,
-    seed: int = 42,
-    crashes: tuple = None,
-) -> TimelinePlan:
-    """The failover timeline as a recorded schedule: a fixed
-    round-robin load (``offered_per_shard`` transactions per shard per
-    slot, keyed to the first branch each shard owns) plus one primary
-    crash, replayable by either of the shardpar executors.
-
-    ``crashes`` — a tuple of ``(shard_id, at_us)`` pairs — overrides
-    the single ``crashed_shard``/``crash_at_us`` crash: the multi-crash
-    schedules the widened decomposition boundary covers (each shard at
-    most once; the pair model has one backup)."""
-    workload = ShardedWorkload(
-        "debit-credit", num_shards, db_bytes_per_shard, seed=seed
-    )
-    submissions = []
-    for slot in range(slots):
-        at_us = slot * slot_us
-        for shard_id in range(num_shards):
-            key = workload.partitioner.ranges[shard_id].start
-            submissions.extend((at_us, key) for _ in range(offered_per_shard))
-    horizon_us = slots * slot_us + 30_000.0
-    return TimelinePlan(
-        num_shards=num_shards,
-        mode="passive",
-        version="v1",  # whole-database mirror restore: a visible window
-        db_bytes_per_shard=db_bytes_per_shard,
-        log_bytes=512 * 1024,
-        heartbeat_interval_us=HEARTBEAT_INTERVAL_US,
-        heartbeat_timeout_us=HEARTBEAT_TIMEOUT_US,
-        restore_bytes_per_us=300.0,
-        workload="debit-credit",
-        seed=seed,
-        max_attempts=12,
-        # The sampler's ticks are pre-scheduled *before* the load, so
-        # at any shared timestamp they fire first and each sample sees
-        # exactly the [0, t) prefix — the property that makes the
-        # series windows match the trace windows bit for bit. The tick
-        # divides the slot width (REPRO_SERIES can select a finer
-        # divisor without changing any measured number).
-        sample_interval_us=series_interval_us(slot_us, slot_us),
-        sample_until_us=horizon_us,
-        # Run past the load so the retry backlog fully drains.
-        horizon_us=horizon_us,
-        submissions=tuple(submissions),
-        crashes=(
-            ((crashed_shard, crash_at_us),) if crashes is None
-            else tuple(crashes)
-        ),
-    )
-
-
 def failover_timeline(
     num_shards: int = 4,
     slots: int = SLOTS,
@@ -481,10 +423,14 @@ def failover_timeline(
     seed: int = 42,
     observer: Optional[Observer] = None,
     trace_path: Optional[Union[str, "object"]] = None,
-    shard_jobs: int = 1,
 ) -> FailoverTimeline:
     """Drive a sharded cluster through one primary crash and derive the
     per-slot timeline *from the recorded trace*.
+
+    The load is a fixed round-robin: ``offered_per_shard`` transactions
+    per shard per slot, keyed to the first branch each shard owns. The
+    pair uses passive Version 1, whose whole-database mirror restore
+    makes the takeover window long enough to see.
 
     An :class:`~repro.obs.Observer` is always attached (recording never
     touches model state, so the numbers match an unobserved run bit for
@@ -493,36 +439,58 @@ def failover_timeline(
     the live objects. Pass ``trace_path`` to additionally dump the
     trace (and metrics snapshot) as JSONL for ``python -m
     repro.obs.report``.
-
-    ``shard_jobs > 1`` executes the plan on the parallel per-shard
-    decomposition (:mod:`repro.fastpath.shardpar`) — the trace, series
-    and every derived number are byte-identical to the sequential run.
-    A ``trace_path`` forces the sequential executor: the JSONL dump
-    snapshots the metrics registry, which only the single-simulator
-    run populates.
     """
     if observer is None:
         observer = Observer()
-    plan = failover_plan(
-        num_shards=num_shards,
-        slots=slots,
-        slot_us=slot_us,
-        offered_per_shard=offered_per_shard,
-        crash_at_us=crash_at_us,
-        crashed_shard=crashed_shard,
-        db_bytes_per_shard=db_bytes_per_shard,
-        seed=seed,
+    # Construction and scheduling order fixes the event sequence
+    # numbers, and with them every byte of the trace and series.
+    cluster = ShardedCluster(
+        num_shards,
+        mode="passive",
+        version="v1",
+        config=EngineConfig(db_bytes=db_bytes_per_shard, log_bytes=512 * 1024),
+        heartbeat_interval_us=HEARTBEAT_INTERVAL_US,
+        heartbeat_timeout_us=HEARTBEAT_TIMEOUT_US,
+        restore_bytes_per_us=300.0,
+        observer=observer,
     )
-    jobs = shard_jobs if trace_path is None else 1
-    outcome = shardpar.execute(plan, jobs=jobs, observer=observer)
+    workload = ShardedWorkload(
+        "debit-credit", num_shards, db_bytes_per_shard, seed=seed
+    )
+    cluster.setup(workload)
+    router = Router(cluster, workload, max_attempts=12, observer=observer)
+    # Run past the load so the retry backlog fully drains.
+    horizon_us = slots * slot_us + 30_000.0
+    # The sampler's ticks are pre-scheduled *before* the load, so at
+    # any shared timestamp they fire first and each sample sees exactly
+    # the [0, t) prefix — the property that makes the series windows
+    # match the trace windows bit for bit. The tick divides the slot
+    # width (REPRO_SERIES can select a finer divisor without changing
+    # any measured number).
+    sampler = TimeSeriesSampler(observer=observer)
+    sampler.add_probes(sim_probes(cluster.sim))
+    sampler.add_probes(router_probes(
+        router, scopes={f"shard.{i}": i for i in range(num_shards)}
+    ))
+    sampler.attach(
+        cluster.sim, series_interval_us(slot_us, slot_us), horizon_us
+    )
+    ranges = workload.partitioner.ranges
+    for slot in range(slots):
+        for shard_id in range(num_shards):
+            for _ in range(offered_per_shard):
+                router.submit(key=ranges[shard_id].start, at_us=slot * slot_us)
+    cluster.schedule_primary_crash(crashed_shard, crash_at_us)
+    cluster.run_until(horizon_us)
 
     # Annotate the trace with the burn-rate alert schedule its own
     # downtime record justifies. Appended post-run (every consumer
     # selects events by name, none by position), computed purely from
-    # the recorded events — deterministic across executors.
+    # the recorded events.
     from repro.obs.alerts import evaluate_alerts
 
-    events = outcome.events + evaluate_alerts(outcome.events)
+    events = list(observer.recorder.events)
+    events += evaluate_alerts(events)
     report = analyze_timeline(events, window_us=slot_us)
     span = next(
         s for s in report.failovers if s.shard_id == crashed_shard
@@ -550,9 +518,9 @@ def failover_timeline(
         samples.append(SlotSample(slots * slot_us, 0, tail))
     # The trace must agree with the router's own bookkeeping — the
     # observer is a recorder, never a participant.
-    assert report.routing["routed"] == outcome.routed
-    assert report.routing["completed"] == outcome.completed
-    assert takeover.downtime_us == outcome.takeover_downtime_us[crashed_shard]
+    assert report.routing["routed"] == router.routed
+    assert report.routing["completed"] == router.completed
+    assert takeover.downtime_us == cluster.takeovers[crashed_shard].downtime_us
     if trace_path is not None:
         write_jsonl(trace_path, events, metrics=observer.registry)
     return FailoverTimeline(
@@ -565,7 +533,7 @@ def failover_timeline(
         samples=samples,
         router_stats=dict(report.routing),
         trace_events=events,
-        series=outcome.frame,
+        series=sampler.frame,
     )
 
 
@@ -579,7 +547,5 @@ def run(ctx: Optional[ExperimentContext] = None) -> ShardingResult:
         sharded_aggregate(single, n, per_txn_trace=per_txn_trace)
         for n in SHARD_COUNTS
     ]
-    timeline = failover_timeline(
-        seed=ctx.settings.seed, shard_jobs=ctx.settings.shard_jobs
-    )
+    timeline = failover_timeline(seed=ctx.settings.seed)
     return ShardingResult(scaling=scaling, timeline=timeline)

@@ -237,15 +237,10 @@ def main(argv=None) -> int:
         "(output stays byte-identical; default 1 = sequential)",
     )
     parser.add_argument(
-        "--shard-jobs", type=int, default=1, metavar="N",
-        help="run the sharded failover simulation as N per-shard "
-        "processes merged deterministically (output stays "
-        "byte-identical; default 1 = one simulator)",
-    )
-    parser.add_argument(
         "--no-fastpath", action="store_true",
-        help="disable the batched store pipeline and replay cache; "
-        "the reference path for golden-output comparison",
+        help="disable every fast-path dispatch point (see "
+        "repro.fastpath); the reference path for golden-output "
+        "comparison",
     )
     parser.add_argument(
         "--profile", nargs="?", const="-", default=None, metavar="PATH",
@@ -291,7 +286,6 @@ def main(argv=None) -> int:
 
     settings = ExperimentSettings(
         transactions=args.transactions, seed=args.seed,
-        shard_jobs=args.shard_jobs,
     )
     ctx = ExperimentContext(settings)
 

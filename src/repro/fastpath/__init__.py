@@ -2,25 +2,39 @@
 
 The paper's argument is about making a hot path fast; this package is
 about making the *reproduction's* hot path fast without changing a
-single measured number. Three mechanisms, all byte-identical to the
-slow path by construction and by test:
+single measured number. Each dispatch point below checks
+:func:`enabled` and keeps a live reference path; both are
+byte-identical by construction and by test:
 
-* **Batched store pipeline** — the write-doubling and redo paths
-  accumulate per-transaction store batches on the Memory Channel
-  interface instead of simulating the CPU write buffers one store at a
-  time; the batch drains through
-  :meth:`~repro.hardware.writebuffer.WriteBufferModel.write_batch`
-  at the next commit barrier (or statistics read), in original order,
-  so packet formation is unchanged.
-* **Replay cache** (:mod:`repro.fastpath.replay`) — the deterministic
-  workloads repeat a small set of transaction shapes; a
-  barrier-terminated store schedule is canonicalized modulo the write
+* **Batched store pipeline** (:mod:`repro.san.memory_channel`) — the
+  write-doubling and redo paths accumulate per-transaction store
+  batches on the Memory Channel interface instead of simulating the
+  CPU write buffers one store at a time; the batch drains at the next
+  commit barrier (or statistics read), in original order, so packet
+  formation is unchanged.
+* **Replay cache** (:mod:`repro.fastpath.replay`) — the batch drain
+  canonicalizes a barrier-terminated store schedule modulo the write
   buffers' block geometry, and repeated schedules replay their packet
   sequence out of a cache instead of re-running the simulation loop.
-* **Process-parallel experiment runner**
-  (:mod:`repro.fastpath.parallel`) — ``repro-experiments --jobs N``
-  fans the grid's independent measured cells over a process pool and
-  merges results deterministically.
+* **Write-through fast lane**
+  (:mod:`repro.replication.writethrough`) — a forwarded local store
+  skips re-validation and goes straight to the interface.
+* **Vector write buffer**
+  (:class:`~repro.hardware.writebuffer.VectorWriteBufferModel`) —
+  flat bookkeeping in place of the reference buffer objects.
+* **Numpy memory region**
+  (:class:`~repro.memory.region.NumpyMemoryRegion`) — numpy-backed
+  region storage when numpy is installed.
+* **Diff kernel** (:mod:`repro.fastpath.kernels`) — the big-int XOR
+  scan behind Version 2's mirror refresh and Merkle repair.
+* **Bucketed event wheel**
+  (:class:`~repro.sim.events.BucketedEventQueue`) — the shared-shape
+  event queue the sharded cluster asks for.
+
+Separately, :mod:`repro.fastpath.parallel` backs
+``repro-experiments --jobs N``: it fans the grid's independent
+measured cells over a process pool and merges results
+deterministically.
 
 The global switch: fast path is **on** by default and disabled by the
 ``REPRO_FASTPATH=0`` environment variable, the ``--no-fastpath`` CLI

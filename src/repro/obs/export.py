@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.errors import TraceFormatError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import KIND_SPAN, TraceEvent
 
@@ -55,7 +56,13 @@ def write_jsonl(
 def read_jsonl(
     path: Union[str, Path],
 ) -> Tuple[List[TraceEvent], Optional[Dict]]:
-    """Reload a JSONL trace: ``(events, metrics_snapshot_or_None)``."""
+    """Reload a JSONL trace: ``(events, metrics_snapshot_or_None)``.
+
+    Raises :class:`~repro.errors.TraceFormatError`, located at the
+    offending ``file:line``, on a line that is not a JSON object (a
+    truncated last line, say), an unknown record type or trace format,
+    or a record missing a required field.
+    """
     events: List[TraceEvent] = []
     snapshot: Optional[Dict] = None
     for line_number, line in enumerate(
@@ -63,20 +70,39 @@ def read_jsonl(
     ):
         if not line.strip():
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise TraceFormatError(
+                str(path), line_number, f"malformed JSON ({error.msg})"
+            ) from None
+        if not isinstance(record, dict):
+            raise TraceFormatError(
+                str(path), line_number, "record is not a JSON object"
+            )
         record_type = record.get("type")
         if record_type == "meta":
             if record.get("format") != JSONL_FORMAT:
-                raise ValueError(
-                    f"{path}: unknown trace format {record.get('format')!r}"
+                raise TraceFormatError(
+                    str(path), line_number,
+                    f"unknown trace format {record.get('format')!r}",
                 )
         elif record_type == "event":
-            events.append(TraceEvent.from_dict(record))
+            try:
+                events.append(TraceEvent.from_dict(record))
+            except (KeyError, TypeError, ValueError) as error:
+                raise TraceFormatError(
+                    str(path), line_number, f"bad event record ({error!r})"
+                ) from None
         elif record_type == "metrics":
+            if "snapshot" not in record:
+                raise TraceFormatError(
+                    str(path), line_number, "metrics record has no snapshot"
+                )
             snapshot = record["snapshot"]
         else:
-            raise ValueError(
-                f"{path}:{line_number}: unknown record type {record_type!r}"
+            raise TraceFormatError(
+                str(path), line_number, f"unknown record type {record_type!r}"
             )
     return events, snapshot
 

@@ -26,9 +26,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.errors import TraceFormatError
 from repro.obs.export import read_jsonl, write_chrome_trace
 from repro.obs.trace import TraceEvent, select_events
 
@@ -451,6 +453,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             events, _metrics = read_jsonl(args.trace)
         except OSError as error:
             parser.error(f"cannot read trace file: {error}")
+        except TraceFormatError as error:
+            print(error, file=sys.stderr)
+            return 2
         report = analyze_timeline(events, window_us=args.window_us)
         if args.series:
             from repro.obs.series import SeriesFrame

@@ -13,11 +13,9 @@ shared simulator instead of an error at the client:
   its latency is far below the simulator's microsecond event scale).
   The refresh is per-entry on purpose: fetching the whole map would
   couple unrelated shards (one shard's redirect silently refreshing
-  another's stale entry), which would make multi-crash schedules
-  non-decomposable for the per-shard parallel executor
-  (:mod:`repro.fastpath.shardpar`). With a single entry refreshed,
-  each shard's redirect behaviour depends only on its own epoch
-  history — exactly what each decomposed domain reproduces.
+  another's stale entry). With a single entry refreshed, each shard's
+  redirect behaviour depends only on its own epoch history, however
+  many shards fail over.
 * **Shard mid-failover** — the new primary is still restoring
   (:class:`~repro.errors.ShardUnavailableError`). The router *retries*
   with exponential backoff until the shard returns or the attempt
@@ -145,8 +143,7 @@ class Router:
             # instant; the new entry either serves or reports the
             # shard unavailable. Per-entry (not a full snapshot) so
             # one shard's redirect never refreshes another shard's
-            # stale entry — the decoupling the per-shard domain
-            # decomposition relies on for multi-crash plans.
+            # stale entry when several shards fail over.
             self.redirects += 1
             self.map = self.map.with_entry(
                 self.cluster.shard_map.entry(record.shard_id)

@@ -22,10 +22,11 @@ class Simulator:
     this simulator's clock as its time source and sees per-event
     counters and the queue depth; it never influences execution.
 
-    The event queue defaults to the bucketed wheel when the fast path
-    is on and the reference heap under ``REPRO_FASTPATH=0``; both pop
-    in identical (time, seq) order. Pass ``queue`` to pin either
-    implementation explicitly.
+    The event queue defaults to the reference heap. Callers whose
+    schedules repeat exact timestamps pass
+    ``queue=default_event_queue(SHAPE_SHARED)``, which is the bucketed
+    wheel while the fast path is on and the heap under
+    ``REPRO_FASTPATH=0``; both pop in identical (time, seq) order.
 
     Example:
         >>> sim = Simulator()

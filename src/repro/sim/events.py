@@ -141,16 +141,6 @@ class EventQueue:
         """
         return len({entry[0] for entry in self._heap})
 
-    def pending_times(self) -> List[float]:
-        """Sorted distinct firing times among pending entries.
-
-        Same lazy-cancellation discipline as :meth:`distinct_times`
-        (``len(pending_times()) == distinct_times()`` always); the
-        parallel shard executor unions these across domains to rebuild
-        the sequential run's wheel-occupancy probe exactly.
-        """
-        return sorted({entry[0] for entry in self._heap})
-
     def clear(self) -> None:
         """Drop all pending events."""
         self._heap.clear()
@@ -263,12 +253,6 @@ class BucketedEventQueue:
         figure for identical contents.
         """
         return len(self._heap)
-
-    def pending_times(self) -> List[float]:
-        """Sorted distinct firing times among pending entries (the
-        live bucket keys); matches the reference queue's figure for
-        identical contents."""
-        return sorted(self._heap)
 
     def clear(self) -> None:
         """Drop all pending events."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import TraceFormatError
 from repro.obs import (
     Observer,
     TraceEvent,
@@ -50,6 +51,35 @@ def test_jsonl_rejects_garbage(tmp_path):
     bad_type.write_text('{"type":"mystery"}\n')
     with pytest.raises(ValueError):
         read_jsonl(bad_type)
+
+
+def test_jsonl_errors_are_typed_and_located(tmp_path):
+    truncated = tmp_path / "truncated.jsonl"
+    text = write_jsonl(truncated, EVENTS).read_text()
+    truncated.write_text(text[: len(text) - 5])
+    with pytest.raises(TraceFormatError) as info:
+        read_jsonl(truncated)
+    assert info.value.path == str(truncated)
+    assert info.value.line == len(text.splitlines())
+    assert str(info.value).startswith(f"{truncated}:{info.value.line}: ")
+    unknown = tmp_path / "unknown.jsonl"
+    unknown.write_text(text + '{"type":"mystery"}\n')
+    with pytest.raises(TraceFormatError) as info:
+        read_jsonl(unknown)
+    assert info.value.line == len(text.splitlines()) + 1
+    assert "unknown record type 'mystery'" in str(info.value)
+    bad_event = tmp_path / "bad_event.jsonl"
+    bad_event.write_text('{"type":"event","component":"c"}\n')
+    with pytest.raises(TraceFormatError, match=r":1: bad event record"):
+        read_jsonl(bad_event)
+    not_object = tmp_path / "not_object.jsonl"
+    not_object.write_text("[1, 2]\n")
+    with pytest.raises(TraceFormatError, match=r":1: record is not a JSON"):
+        read_jsonl(not_object)
+    no_snapshot = tmp_path / "no_snapshot.jsonl"
+    no_snapshot.write_text('{"type":"metrics"}\n')
+    with pytest.raises(TraceFormatError, match=r":1: metrics record has no"):
+        read_jsonl(no_snapshot)
 
 
 def test_jsonl_is_line_stable(tmp_path):

@@ -266,3 +266,28 @@ def test_cli_series_out_requires_series(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main([str(trace), "--series-out", "x.jsonl"])
     capsys.readouterr()
+
+
+def test_cli_truncated_trace_is_one_located_error(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    write_jsonl(trace, _failover_events())
+    text = trace.read_text()
+    trace.write_text(text[: len(text) - 12])  # cut into the last record
+    last_line = len(text.splitlines())
+    assert main([str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{trace}:{last_line}: malformed JSON")
+
+
+def test_cli_unknown_record_type_is_one_located_error(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    write_jsonl(trace, _failover_events())
+    with trace.open("a") as handle:
+        handle.write('{"type":"mystery"}\n')
+    last_line = len(trace.read_text().splitlines())
+    assert main([str(trace), "--audit"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"{trace}:{last_line}: unknown record type 'mystery'"]

@@ -1,11 +1,16 @@
 """Property-based tests of the write-buffer model: conservation of
-bytes, packet-size bounds, determinism."""
+bytes, packet-size bounds, determinism, and the vectorized model's
+equivalence with the reference on any store schedule."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware.writebuffer import WriteBufferModel, packets_for_stores
+from repro.hardware.writebuffer import (
+    VectorWriteBufferModel,
+    WriteBufferModel,
+    packets_for_stores,
+)
 
 stores = st.lists(
     st.tuples(st.integers(0, 2000), st.integers(1, 100)),
@@ -70,3 +75,75 @@ def test_strided_pattern_matches_figure1_construction(words, blocks):
             pattern.append((block * 32 + word * 4, 4))
     sizes = packets_for_stores(pattern)
     assert sizes == [words * 4] * blocks
+
+
+# -- vectorized model equivalence ------------------------------------
+
+_geometries = st.tuples(
+    st.integers(1, 8),                    # num_buffers
+    st.sampled_from((4, 8, 16, 32, 64)),  # block_bytes
+)
+
+#: A schedule interleaving stores with barriers: True = barrier.
+_wb_schedule = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, 4096), st.integers(1, 300)),
+        st.just(True),
+    ),
+    min_size=0, max_size=60,
+)
+
+
+def _drive(model, ops, batched: bool):
+    batch = []
+    for op in ops:
+        if op is True:
+            if batched and batch:
+                model.write_batch(batch)
+                batch.clear()
+            model.barrier()
+        elif batched:
+            batch.append(op)
+        else:
+            model.write(*op)
+    if batched and batch:
+        model.write_batch(batch)
+    model.barrier()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_wb_schedule, geometry=_geometries)
+def test_vector_model_matches_reference(ops, geometry):
+    """Store-for-store: the vectorized model emits the same packet
+    sequence, histogram and open-buffer state as the reference."""
+    num_buffers, block_bytes = geometry
+    ref_sizes, vec_sizes = [], []
+    ref = WriteBufferModel(num_buffers, block_bytes, on_packet=ref_sizes.append)
+    vec = VectorWriteBufferModel(
+        num_buffers, block_bytes, on_packet=vec_sizes.append
+    )
+    _drive(ref, ops, batched=False)
+    _drive(vec, ops, batched=False)
+    assert vec_sizes == ref_sizes
+    assert vec.histogram == ref.histogram
+    assert vec.packets_emitted == ref.packets_emitted
+    assert vec.bytes_emitted == ref.bytes_emitted
+    assert vec.open_buffers == ref.open_buffers
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_wb_schedule, geometry=_geometries)
+def test_vector_batch_matches_reference_per_store(ops, geometry):
+    """The vectorized batch entry point (run-coalescing drain) against
+    the reference driven one store at a time."""
+    num_buffers, block_bytes = geometry
+    ref_sizes, vec_sizes = [], []
+    ref = WriteBufferModel(num_buffers, block_bytes, on_packet=ref_sizes.append)
+    vec = VectorWriteBufferModel(
+        num_buffers, block_bytes, on_packet=vec_sizes.append
+    )
+    _drive(ref, ops, batched=False)
+    _drive(vec, ops, batched=True)
+    assert vec_sizes == ref_sizes
+    assert vec.histogram == ref.histogram
+    assert vec.open_buffers == ref.open_buffers
