@@ -32,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from _common import MB, REPO, finalize, flatten_metrics
+from _common import add_report_options, finalize, flatten_metrics, report_path
 
 #: The in-process cell set: one of each replication style, both
 #: workloads, including the heavy v1 mirror (uncoalesced) path.
@@ -132,13 +132,9 @@ def main(argv=None) -> int:
         "--jobs", type=int, default=0,
         help="worker processes for the fast grid run (0 = all cores)",
     )
-    parser.add_argument(
-        "--output", default=str(REPO / "BENCH_fastpath.json"),
-        help="where to write the measured report (default: repo root)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare speedups against a committed baseline JSON; "
+    add_report_options(
+        parser, "fastpath",
+        "compare speedups against a committed baseline JSON; "
         "exit 1 on a >20%% regression",
     )
     parser.add_argument(
@@ -146,6 +142,7 @@ def main(argv=None) -> int:
         help="cells only (quick local iteration)",
     )
     args = parser.parse_args(argv)
+    args.output = report_path("fastpath", args.output, args.check)
 
     if args.jobs <= 0:
         from repro.fastpath.parallel import default_jobs

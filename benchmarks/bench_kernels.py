@@ -3,9 +3,10 @@
 Measures three things and writes them to the root ``BENCH_kernels.json``
 (the perf-trajectory tracker reads root-level ``BENCH_*.json`` files):
 
-* **events** — simulator-core microbenchmark: events/second through a
-  poll-dominated SMP simulation (reference tuple heap, the deployed
-  queue for irregular schedules) and through a heartbeat-shaped
+* **events** — simulator-core microbenchmark: the wall-clock of a
+  link-saturated SMP simulation (reference tuple heap, the deployed
+  queue for irregular schedules; its ``poll_sim`` metric names predate
+  parked stalls) and events/second through a heartbeat-shaped
   schedule on the bucketed wheel versus the reference heap (the
   wheel's deployment shape).
 * **diff** — big-int XOR diff kernel MB/s versus the reference
@@ -37,7 +38,9 @@ import sys
 import time
 from pathlib import Path
 
-from _common import MB, REPO, finalize, flatten_metrics
+from _common import (
+    MB, REPO, add_report_options, finalize, flatten_metrics, report_path,
+)
 
 from repro.obs.bench import load_report
 
@@ -64,7 +67,7 @@ def bench_events() -> dict:
     from repro.perf.smp_sim import simulate_smp
     from repro.sim.events import BucketedEventQueue, EventQueue
 
-    # Poll-dominated irregular schedule: the deployed reference heap.
+    # Stall-heavy irregular schedule: the deployed reference heap.
     started = time.perf_counter()
     result = simulate_smp(5.0, [[32] * 6], 4, duration_us=10_000.0)
     poll_wall = time.perf_counter() - started
@@ -386,13 +389,9 @@ UNITS = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--transactions", type=int, default=1000)
-    parser.add_argument(
-        "--output", default=str(REPO / "BENCH_kernels.json"),
-        help="where to write the measured report (default: repo root)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare speedups against a committed baseline JSON; "
+    add_report_options(
+        parser, "kernels",
+        "compare speedups against a committed baseline JSON; "
         "exit 1 on a >20%% regression",
     )
     parser.add_argument(
@@ -400,6 +399,7 @@ def main(argv=None) -> int:
         help="microbenchmarks only (quick local iteration)",
     )
     args = parser.parse_args(argv)
+    args.output = report_path("kernels", args.output, args.check)
 
     report = {
         "events": bench_events(),

@@ -31,7 +31,7 @@ import argparse
 import sys
 import time
 
-from _common import MB, REPO, finalize, flatten_metrics
+from _common import MB, add_report_options, finalize, flatten_metrics, report_path
 
 #: Keys per replica in the repair benchmark (digest state is
 #: ``keys * DIGEST_BYTES`` per side).
@@ -174,13 +174,9 @@ UNITS = {
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output", default=str(REPO / "BENCH_quorum.json"),
-        help="where to write the measured report (default: repo root)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare the repair speedup against a committed baseline "
+    add_report_options(
+        parser, "quorum",
+        "compare the repair speedup against a committed baseline "
         "JSON; exit 1 on a >20%% regression",
     )
     parser.add_argument(
@@ -188,6 +184,7 @@ def main(argv=None) -> int:
         help="microbenchmarks only (quick local iteration)",
     )
     args = parser.parse_args(argv)
+    args.output = report_path("quorum", args.output, args.check)
 
     report = {
         "repair": bench_repair(),

@@ -31,7 +31,7 @@ import argparse
 import sys
 import time
 
-from _common import REPO, finalize, flatten_metrics
+from _common import add_report_options, finalize, flatten_metrics, report_path
 
 
 def bench_sharding() -> dict:
@@ -114,16 +114,13 @@ UNITS = {
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output", default=str(REPO / "BENCH_recovery.json"),
-        help="where to write the measured report (default: repo root)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare the decomposition against a committed baseline "
+    add_report_options(
+        parser, "recovery",
+        "compare the decomposition against a committed baseline "
         "JSON; exit 1 when any gated metric regresses",
     )
     args = parser.parse_args(argv)
+    args.output = report_path("recovery", args.output, args.check)
 
     report = {"sharding": bench_sharding()}
     sharding = report["sharding"]

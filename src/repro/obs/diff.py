@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import TraceFormatError
 from repro.obs.trace import TraceEvent
 
 #: Attrs carrying causal ids, renumbered during canonicalization (the
@@ -333,7 +335,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "Structurally diff two recorded runs (repro-trace-v1 or "
             "repro-series-v1 JSONL): canonical causal-id alignment, "
             "first-divergence localization, per-phase cost deltas. "
-            "Exit status 1 when the runs diverge."
+            "Exit status 1 when the runs diverge, 2 when a file cannot "
+            "be read or parsed."
         ),
     )
     parser.add_argument("baseline", help="baseline JSONL file")
@@ -346,9 +349,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--format", choices=("text", "json"), default="text",
     )
     args = parser.parse_args(argv)
-    diff = diff_files(
-        args.baseline, args.current, max_divergences=args.max_divergences
-    )
+    try:
+        diff = diff_files(
+            args.baseline, args.current, max_divergences=args.max_divergences
+        )
+    except (OSError, TraceFormatError) as error:
+        print(error, file=sys.stderr)
+        return 2
     if args.format == "json":
         print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
     else:

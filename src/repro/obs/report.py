@@ -442,7 +442,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError as error:
             parser.error(f"cannot read trace file: {error}")
         if f'"{SERIES_FORMAT}"' in head:
-            frame = SeriesFrame.read_jsonl(args.trace)
+            try:
+                frame = SeriesFrame.read_jsonl(args.trace)
+            except TraceFormatError as error:
+                print(error, file=sys.stderr)
+                return 2
             series_only = True
 
     if series_only:
@@ -495,6 +499,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             trace_diff = diff_files(args.diff, args.trace)
         except OSError as error:
             parser.error(f"cannot read baseline file: {error}")
+        except TraceFormatError as error:
+            print(error, file=sys.stderr)
+            return 2
 
     if args.format == "json":
         payload: Dict[str, object] = {}

@@ -37,6 +37,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.errors import TraceFormatError
 from repro.obs.observer import resolve_observer
 from repro.obs.trace import TraceEvent
 
@@ -166,20 +167,53 @@ class SeriesFrame:
 
     @classmethod
     def read_jsonl(cls, path: str) -> "SeriesFrame":
+        """Reload a ``repro-series-v1`` file.
+
+        Raises :class:`~repro.errors.TraceFormatError`, located at the
+        offending ``file:line``, on a line that is not a JSON object, a
+        missing or foreign meta line, or a malformed sample.
+        """
+        path = str(path)
+        frame = None
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        if not lines or lines[0].get("type") != "meta":
-            raise ValueError(f"{path}: missing {SERIES_FORMAT} meta line")
-        meta = lines[0]
-        if meta.get("format") != SERIES_FORMAT:
-            raise ValueError(f"{path}: not a {SERIES_FORMAT} file")
-        columns = list(meta["columns"])
-        frame = cls(columns)
-        for line in lines[1:]:
-            if line.get("type") != "sample":
-                continue
-            frame.append(line["ts_us"],
-                         dict(zip(columns, line["values"])))
+            for line_number, text in enumerate(fh, start=1):
+                if not text.strip():
+                    continue
+                try:
+                    line = json.loads(text)
+                except json.JSONDecodeError as error:
+                    raise TraceFormatError(
+                        path, line_number, f"malformed JSON ({error.msg})"
+                    ) from None
+                if not isinstance(line, dict):
+                    raise TraceFormatError(
+                        path, line_number, "record is not a JSON object"
+                    )
+                if frame is None:
+                    if line.get("type") != "meta":
+                        raise TraceFormatError(
+                            path, line_number, f"missing {SERIES_FORMAT} meta line"
+                        )
+                    if line.get("format") != SERIES_FORMAT:
+                        raise TraceFormatError(
+                            path, line_number, f"not a {SERIES_FORMAT} file"
+                        )
+                    columns = line.get("columns")
+                    if not isinstance(columns, list):
+                        raise TraceFormatError(
+                            path, line_number, "meta line has no column list"
+                        )
+                    frame = cls(columns)
+                elif line.get("type") == "sample":
+                    try:
+                        frame.append(line["ts_us"],
+                                     dict(zip(columns, line["values"])))
+                    except (KeyError, TypeError, ValueError) as error:
+                        raise TraceFormatError(
+                            path, line_number, f"bad sample record ({error!r})"
+                        ) from None
+        if frame is None:
+            raise TraceFormatError(path, 1, f"missing {SERIES_FORMAT} meta line")
         return frame
 
     def write_csv(self, path: str) -> None:

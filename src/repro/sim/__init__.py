@@ -17,7 +17,7 @@ from repro.sim.events import (
     default_event_queue,
 )
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, sleep, wait_for
+from repro.sim.process import Process, park, sleep
 from repro.sim.rng import SeedSequence, make_rng
 
 __all__ = [
@@ -30,8 +30,8 @@ __all__ = [
     "default_event_queue",
     "Simulator",
     "Process",
+    "park",
     "sleep",
-    "wait_for",
     "SeedSequence",
     "make_rng",
 ]

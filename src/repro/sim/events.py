@@ -152,9 +152,8 @@ class BucketedEventQueue:
     Same API and same deterministic ``(time, seq)`` pop order as
     :class:`EventQueue`. Scheduling onto a timestamp that already has a
     pending event is a dict lookup plus a deque append — no heap
-    operation — which is the common case for the poll-dominated event
-    populations (``wait_for`` busy-waiting, heartbeats) where thousands
-    of events share a handful of firing times.
+    operation — which is the common case for heartbeat populations,
+    where thousands of events share a handful of firing times.
 
     ``len()`` mirrors the reference queue's semantics: cancelled events
     keep counting until they physically surface at a pop/peek, because
@@ -264,8 +263,8 @@ class BucketedEventQueue:
 #: Schedule-shape hints for :func:`default_event_queue`. "shared"
 #: means the population repeats exact timestamps heavily (heartbeat
 #: chains across cluster members, takeover timers); "irregular" means
-#: timestamps rarely collide (desynchronized ``wait_for`` poll phases,
-#: link service completions).
+#: timestamps rarely collide (CPU phase ends and link service
+#: completions of the SMP simulation).
 SHAPE_IRREGULAR = "irregular"
 SHAPE_SHARED = "shared"
 
@@ -275,7 +274,7 @@ def default_event_queue(shape: str = SHAPE_IRREGULAR):
 
     The bucketed wheel beats the tuple heap only when pushes actually
     collide on timestamps (measured ~1.2x on heartbeat populations; the
-    exact-time dict costs ~1.3x on fully irregular poll schedules), so
+    exact-time dict costs ~1.3x on fully irregular schedules), so
     the fast path selects it per schedule shape: simulators declaring
     ``SHAPE_SHARED`` (cluster/shard heartbeat machinery) get the wheel,
     everything else keeps the reference heap. ``REPRO_FASTPATH=0`` /

@@ -3,18 +3,18 @@
 A process is a Python generator that yields *commands*:
 
 * ``sleep(delay)`` — suspend for ``delay`` simulated microseconds.
-* ``wait_for(predicate, poll)`` — poll ``predicate`` every ``poll``
-  microseconds until it returns True (models busy-waiting, e.g. the
-  active backup polling the redo-log producer pointer).
+* ``park()`` — suspend until another party calls
+  :meth:`Process.resume` (a CPU stalled on a full write buffer, woken
+  by the link that drains it).
 
-This is intentionally small: the replication layer uses it to model
-the active backup's consumer loop and failure detectors, while the
-performance experiments use plain cost accounting.
+This is intentionally small: its one user is the SMP shared-link
+validation (:mod:`repro.perf.smp_sim`); the replication layer and the
+other performance experiments use plain events and cost accounting.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -27,12 +27,7 @@ class _Sleep:
         self.delay = delay
 
 
-class _WaitFor:
-    __slots__ = ("predicate", "poll")
-
-    def __init__(self, predicate: Callable[[], bool], poll: float):
-        self.predicate = predicate
-        self.poll = poll
+_PARK = object()
 
 
 def sleep(delay: float) -> _Sleep:
@@ -40,18 +35,15 @@ def sleep(delay: float) -> _Sleep:
     return _Sleep(delay)
 
 
-def wait_for(predicate: Callable[[], bool], poll: float = 0.1) -> _WaitFor:
-    """Yield from a process to busy-wait until ``predicate()`` is True.
-
-    ``poll`` is the simulated polling interval in microseconds.
-    """
-    return _WaitFor(predicate, poll)
+def park() -> object:
+    """Yield from a process to suspend it until :meth:`Process.resume`."""
+    return _PARK
 
 
 class Process:
     """Drives a generator through the simulator's event queue."""
 
-    __slots__ = ("sim", "generator", "name", "finished", "result")
+    __slots__ = ("sim", "generator", "name", "finished", "result", "parked")
 
     def __init__(
         self,
@@ -64,6 +56,7 @@ class Process:
         self.name = name
         self.finished = False
         self.result: Optional[Any] = None
+        self.parked = False
         self._start()
 
     def _start(self) -> None:
@@ -80,35 +73,21 @@ class Process:
             return
         self._dispatch(command)
 
+    def resume(self) -> None:
+        """Continue a parked process at the current simulated time."""
+        if not self.parked:
+            raise SimulationError(f"process {self.name} is not parked")
+        self.parked = False
+        self._resume()
+
     def _dispatch(self, command: Any) -> None:
         if isinstance(command, _Sleep):
             if command.delay < 0:
                 raise SimulationError(f"process {self.name} slept negative time")
             self.sim.schedule_after(command.delay, self._resume, name=self.name)
-        elif isinstance(command, _WaitFor):
-            self._poll(command)
+        elif command is _PARK:
+            self.parked = True
         else:
             raise SimulationError(
                 f"process {self.name} yielded unsupported command {command!r}"
             )
-
-    def _poll(self, command: _WaitFor) -> None:
-        # One closure serves every poll tick of this wait (the seed
-        # allocated a fresh lambda and a fresh f-string name per tick;
-        # busy-wait loops tick millions of times per run). Behavior —
-        # predicate checked synchronously, resume at +0.0, retry after
-        # ``poll`` — is unchanged.
-        predicate = command.predicate
-        poll = command.poll
-        schedule_after = self.sim.schedule_after
-        resume = self._resume
-        resume_name = self.name
-        poll_name = f"{self.name}:poll"
-
-        def tick() -> None:
-            if predicate():
-                schedule_after(0.0, resume, name=resume_name)
-            else:
-                schedule_after(poll, tick, name=poll_name)
-
-        tick()

@@ -158,3 +158,20 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
     assert main([str(a), str(b), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["identical"] is False
+
+
+@pytest.mark.parametrize("kind", ["trace", "series"])
+def test_cli_truncated_file_is_one_located_error(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.jsonl"
+    if kind == "trace":
+        write_jsonl(path, [_event(1.0, x=1), _event(2.0, x=2)])
+    else:
+        _frame([(0.0, 1.0), (250.0, 2.0)]).write_jsonl(path)
+    text = path.read_text()
+    path.write_text(text[: len(text) - 8])  # cut into the last record
+    assert main([str(path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{path}:{len(text.splitlines())}: malformed JSON")

@@ -291,3 +291,21 @@ def test_cli_unknown_record_type_is_one_located_error(tmp_path, capsys):
     assert main([str(trace), "--audit"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"{trace}:{last_line}: unknown record type 'mystery'"]
+
+
+def test_cli_truncated_series_is_one_located_error(tmp_path, capsys):
+    from repro.obs.series import SeriesFrame
+
+    series = tmp_path / "s.jsonl"
+    frame = SeriesFrame()
+    for i in range(3):
+        frame.append(i * 250.0, {"goodput": float(i)})
+    frame.write_jsonl(str(series))
+    text = series.read_text()
+    series.write_text(text[: len(text) - 8])  # cut into the last sample
+    assert main([str(series), "--series"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{series}:{len(text.splitlines())}: malformed JSON")

@@ -12,6 +12,8 @@ The load-bearing properties:
   trace's ``series.sample`` events.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +73,45 @@ def test_jsonl_and_dict_round_trips(tmp_path):
     again = SeriesFrame.read_jsonl(path)
     assert again.to_bytes() == frame.to_bytes()
     assert SeriesFrame.from_dict(frame.to_dict()).to_bytes() == frame.to_bytes()
+
+
+def _series_file(tmp_path):
+    frame = SeriesFrame()
+    for i in range(3):
+        frame.append(i * 250.0, {"a.col": float(i)})
+    path = tmp_path / "frame.jsonl"
+    frame.write_jsonl(str(path))
+    return path
+
+
+def test_truncated_series_is_a_located_error(tmp_path):
+    from repro.errors import TraceFormatError
+
+    path = _series_file(tmp_path)
+    text = path.read_text()
+    path.write_text(text[: len(text) - 8])  # cut into the last sample
+    with pytest.raises(TraceFormatError) as error:
+        SeriesFrame.read_jsonl(str(path))
+    assert str(error.value).startswith(
+        f"{path}:{len(text.splitlines())}: malformed JSON"
+    )
+
+
+@pytest.mark.parametrize("first_line, reason", [
+    ("[1, 2]", "record is not a JSON object"),
+    ('{"type": "sample", "ts_us": 0.0, "values": [1.0]}',
+     "missing repro-series-v1 meta line"),
+    ('{"type": "meta", "format": "repro-trace-v1"}',
+     "not a repro-series-v1 file"),
+])
+def test_bad_series_meta_line_is_a_located_error(tmp_path, first_line, reason):
+    from repro.errors import TraceFormatError
+
+    path = _series_file(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([first_line] + lines[1:]) + "\n")
+    with pytest.raises(TraceFormatError, match=re.escape(f"{path}:1: {reason}")):
+        SeriesFrame.read_jsonl(str(path))
 
 
 def test_csv_export_has_sorted_header(tmp_path):

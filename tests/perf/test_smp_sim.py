@@ -1,10 +1,14 @@
 """The discrete-event SMP contention simulation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hardware.specs import MEMORY_CHANNEL_II
+from repro.perf import smp_sim
 from repro.perf.smp_sim import packet_sequence, simulate_smp
 from repro.san.packets import PacketTrace
+from repro.sim.engine import Simulator
 
 
 def test_packet_sequence_distributes_evenly():
@@ -71,6 +75,20 @@ def test_rejects_zero_processors():
         simulate_smp(1.0, [[4]], 0)
 
 
+def test_rejects_transactions_without_cpu_time():
+    with pytest.raises(ValueError):
+        simulate_smp(0.0, [[4]], 2)
+
+
+def test_rejects_a_link_faster_than_the_stall_poll_grid():
+    """A resume on the poll grid matches a polling CPU only while every
+    packet occupies the link longer than one poll interval."""
+    fast = replace(MEMORY_CHANNEL_II, per_packet_overhead_us=0.01,
+                   raw_bandwidth_bytes_per_us=10_000.0)
+    with pytest.raises(ValueError, match="poll grid"):
+        simulate_smp(1.0, [[4]], 2, san=fast)
+
+
 def test_write_buffer_backpressure_limits_single_stream():
     """A link-heavy stream cannot run ahead of its write buffers."""
     # 400 bytes of packets per txn >> the 192-byte buffer capacity.
@@ -84,3 +102,25 @@ def test_write_buffer_backpressure_limits_single_stream():
     # Throughput is close to pure link speed, not CPU speed.
     assert result.aggregate_tps < 1.2 * 1e6 / link_per_txn
     assert result.per_stream_completed[0] > 0
+
+
+def test_stalled_streams_cost_a_fixed_number_of_events(monkeypatch):
+    """Work counter: a link-saturating four-stream run where nearly
+    every transaction stalls. A stalled stream costs two events (the
+    wake at its resume instant and the resume), not one per 50 ns
+    re-check of its write buffer (360,115 events on this run)."""
+    simulators = []
+
+    class CountingSimulator(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            simulators.append(self)
+
+    monkeypatch.setattr(smp_sim, "Simulator", CountingSimulator)
+    result = simulate_smp(
+        txn_cpu_us=2.0, txn_packets=[[32] * 10, [32] * 6 + [4] * 3],
+        processors=4, duration_us=5_000.0,
+    )
+    assert result.per_stream_completed == [349, 349, 349, 348]
+    assert result.link_utilization > 0.99
+    assert [sim.events_processed for sim in simulators] == [17_439]

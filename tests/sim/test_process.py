@@ -1,10 +1,10 @@
-"""Generator-based processes: sleep and busy-wait primitives."""
+"""Generator-based processes: sleep and park primitives."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, sleep, wait_for
+from repro.sim.process import Process, park, sleep
 
 
 def test_sleep_suspends_for_simulated_time():
@@ -23,25 +23,31 @@ def test_sleep_suspends_for_simulated_time():
     assert trace == [("start", 0.0), ("middle", 5.0), ("end", 7.5)]
 
 
-def test_wait_for_polls_until_predicate_true():
+def test_park_suspends_until_resumed():
     sim = Simulator()
-    state = {"ready": False}
     trace = []
 
-    def setter():
-        yield sleep(3.0)
-        state["ready"] = True
-
     def waiter():
-        yield wait_for(lambda: state["ready"], poll=0.5)
+        yield park()
         trace.append(sim.now)
 
-    Process(sim, setter())
-    Process(sim, waiter())
+    process = Process(sim, waiter())
+    sim.schedule_at(3.0, process.resume)
     sim.run()
-    assert len(trace) == 1
-    # Detected within one polling period of readiness.
-    assert 3.0 <= trace[0] <= 3.5 + 1e-9
+    assert trace == [3.0]
+    assert process.finished
+
+
+def test_resuming_an_unparked_process_rejected():
+    sim = Simulator()
+
+    def worker():
+        yield sleep(5.0)
+
+    process = Process(sim, worker())
+    sim.schedule_at(1.0, process.resume)
+    with pytest.raises(SimulationError):
+        sim.run()
 
 
 def test_process_finishes_and_records_result():
@@ -97,16 +103,3 @@ def test_unknown_command_rejected():
     Process(sim, worker())
     with pytest.raises(SimulationError):
         sim.run()
-
-
-def test_wait_for_immediately_true_predicate():
-    sim = Simulator()
-    trace = []
-
-    def worker():
-        yield wait_for(lambda: True, poll=10.0)
-        trace.append(sim.now)
-
-    Process(sim, worker())
-    sim.run()
-    assert trace == [0.0]
